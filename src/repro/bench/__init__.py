@@ -19,14 +19,12 @@ from repro.bench.regression import (
     RegressionReport,
     check_baseline,
     measure_baseline,
-    save_baseline,
 )
 from repro.bench.quant import (
     format_quant_bench,
     measure_quant_crossover,
-    save_quant_bench,
 )
-from repro.bench.reporting import format_csv, format_table
+from repro.bench.reporting import format_csv, format_table, save_document
 from repro.bench.sweeps import SweepPoint, SweepResult, batch_sweep, resolution_sweep
 from repro.bench.table1 import render_table1, table1_csv, table1_headers, table1_rows
 from repro.bench.workloads import (
@@ -51,7 +49,6 @@ __all__ = [
     "STANDARD_CONV_CASES",
     "check_baseline",
     "measure_baseline",
-    "save_baseline",
     "SweepPoint",
     "SweepResult",
     "batch_sweep",
@@ -61,7 +58,7 @@ __all__ = [
     "format_quant_bench",
     "format_table",
     "measure_quant_crossover",
-    "save_quant_bench",
+    "save_document",
     "model_input",
     "race_conv_impls",
     "render_table1",

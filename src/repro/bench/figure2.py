@@ -11,6 +11,7 @@ reasons where it cannot.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro.errors import FrameworkUnavailableError
 from repro.frameworks.adapters import EVALUATION_ORDER
@@ -19,6 +20,7 @@ from repro.bench.harness import FailureRow, run_guarded
 from repro.bench.journal import RunJournal, open_journal
 from repro.bench.reporting import format_csv, format_table
 from repro.models.zoo import FIGURE2_MODELS
+from repro.runtime.profiler import measure
 
 
 @dataclasses.dataclass(frozen=True)
@@ -181,7 +183,6 @@ def run_figure2(
     moves startup cost.
     """
     import inspect
-    import time
 
     from repro.bench.workloads import model_input
 
@@ -274,14 +275,11 @@ def run_figure2(
         times: dict[str, list[float]] = {fw: [] for fw in prepared}
         for _round in range(repeats):
             for framework, runnable in list(prepared.items()):
-
-                def timed_run() -> float:
-                    started = time.perf_counter()
-                    runnable.run(x)
-                    return time.perf_counter() - started
-
-                elapsed, failure = run_guarded(
-                    timed_run, label=f"{framework}/{model}", stage="run",
+                # One sample per framework per round.
+                sample, failure = run_guarded(
+                    functools.partial(
+                        measure, functools.partial(runnable.run, x), 1),
+                    label=f"{framework}/{model}", stage="run",
                     retries=retries)
                 if failure is not None:
                     # Drop the framework from the remaining rounds: its
@@ -294,7 +292,7 @@ def run_figure2(
                     del prepared[framework]
                     del times[framework]
                     continue
-                times[framework].append(elapsed + overheads[framework])
+                times[framework].append(sample[0] + overheads[framework])
         for framework, samples in times.items():
             measurement = Measurement(
                 framework=framework, model=model, times=tuple(samples))

@@ -14,7 +14,6 @@ measuring instead of aborting.
 from __future__ import annotations
 
 import dataclasses
-import statistics
 from collections.abc import Callable
 from typing import TypeVar
 
@@ -24,6 +23,7 @@ from repro.backends.backend import Backend
 from repro.bench.workloads import model_input
 from repro.errors import OrpheusError
 from repro.models import zoo
+from repro.runtime.profiler import SampleStats
 from repro.runtime.session import InferenceSession
 
 T = TypeVar("T")
@@ -92,7 +92,7 @@ def run_guarded(
 
 
 @dataclasses.dataclass(frozen=True)
-class RunStats:
+class RunStats(SampleStats):
     """Timing statistics for one experiment configuration.
 
     ``max_abs_err`` is the accuracy proxy: the maximum absolute difference
@@ -105,22 +105,6 @@ class RunStats:
     label: str
     times: tuple[float, ...]
     max_abs_err: float | None = None
-
-    @property
-    def median(self) -> float:
-        return statistics.median(self.times)
-
-    @property
-    def mean(self) -> float:
-        return statistics.fmean(self.times)
-
-    @property
-    def best(self) -> float:
-        return min(self.times)
-
-    @property
-    def stdev(self) -> float:
-        return statistics.stdev(self.times) if len(self.times) > 1 else 0.0
 
     def summary(self) -> str:
         text = (f"{self.label}: median {self.median * 1e3:.2f} ms, "

@@ -10,7 +10,7 @@ grid — the data behind the conv-algorithm ablation benchmarks.
 from __future__ import annotations
 
 import dataclasses
-import time
+import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -19,6 +19,7 @@ from repro.bench.reporting import format_csv, format_table
 from repro.ir.node import Node
 from repro.kernels.context import ExecutionContext
 from repro.kernels.registry import REGISTRY
+from repro.runtime.profiler import measure
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,12 +121,9 @@ def race_conv_impls(
                 times[(case.label, impl_name)] = None
                 continue
             ctx = ExecutionContext(threads=threads)
-            impl.fn([x, w], node, ctx)  # warmup (also fills weight caches)
-            best = float("inf")
-            for _ in range(repeats):
-                started = time.perf_counter()
-                impl.fn([x, w], node, ctx)
-                best = min(best, time.perf_counter() - started)
-            times[(case.label, impl_name)] = best
+            # One warmup call also fills the weight caches; min is kept.
+            times[(case.label, impl_name)] = min(measure(
+                functools.partial(impl.fn, [x, w], node, ctx),
+                repeats, warmup=1))
     return LayerRaceResult(
         cases=tuple(cases), impls=tuple(impls), times=times)

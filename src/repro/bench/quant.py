@@ -22,7 +22,6 @@ caveat as ``BENCH_engine_startup.json``.
 
 from __future__ import annotations
 
-import json
 import platform
 import sys
 
@@ -141,15 +140,6 @@ def measure_quant_crossover(
         "steady_state": steady,
         "budget_scenarios": budget,
     }
-
-
-def save_quant_bench(path: str, **kwargs) -> dict:
-    """:func:`measure_quant_crossover`, saved as pretty JSON."""
-    document = measure_quant_crossover(**kwargs)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    return document
 
 
 def format_quant_bench(document: dict) -> str:

@@ -28,10 +28,10 @@ import platform
 import statistics
 import sys
 import tempfile
-import time
 
 from repro import __version__
 from repro.bench.harness import time_model
+from repro.runtime.profiler import measure, validate_protocol
 
 #: (model, backend, image_size) configurations tracked by default — small
 #: enough to run in seconds, covering both conv regimes and the depthwise path.
@@ -72,15 +72,6 @@ def measure_baseline(
         "repeats": repeats,
         "entries": entries,
     }
-
-
-def save_baseline(path: str, configs=None,
-                  repeats: int = 7, warmup: int = 2) -> dict:
-    document = measure_baseline(configs, repeats=repeats, warmup=warmup)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    return document
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,8 +140,8 @@ def measure_engine_startup(
     """
     from repro.engine import compile_to_file
     from repro.models import zoo
-    from repro.runtime.session import InferenceSession
 
+    validate_protocol(repeats, 0)
     if models is None:  # resolved at call time so tests can patch the set
         models = ENGINE_STARTUP_MODELS
     entries: dict = {}
@@ -162,17 +153,8 @@ def measure_engine_startup(
             graph = zoo.build(model)
             compile_to_file(graph, path, backend=backend, threads=threads,
                             metadata={"model": model})
-            build_s, prepare_s, warm_s = [], [], []
-            for _ in range(repeats):
-                started = time.perf_counter()
-                graph = zoo.build(model)
-                build_s.append(time.perf_counter() - started)
-                started = time.perf_counter()
-                InferenceSession(graph, backend=backend, threads=threads)
-                prepare_s.append(time.perf_counter() - started)
-                started = time.perf_counter()
-                InferenceSession.from_engine(path)
-                warm_s.append(time.perf_counter() - started)
+            build_s, prepare_s, warm_s = _startup_samples(
+                model, path, backend, threads, repeats)
             cold_ms = (statistics.median(build_s)
                        + statistics.median(prepare_s)) * 1e3
             warm_ms = statistics.median(warm_s) * 1e3
@@ -196,13 +178,33 @@ def measure_engine_startup(
     }
 
 
-def save_engine_startup(path: str, **kwargs) -> dict:
-    """:func:`measure_engine_startup`, saved as pretty JSON."""
-    document = measure_engine_startup(**kwargs)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    return document
+def _startup_samples(
+    model: str, path: str, backend: str, threads: int, repeats: int,
+) -> tuple[list[float], list[float], list[float]]:
+    """Build, cold-prepare and warm-load seconds, interleaved per repeat."""
+    from repro.models import zoo
+    from repro.runtime.session import InferenceSession
+
+    graph = None
+
+    def build() -> None:
+        nonlocal graph
+        graph = zoo.build(model)
+
+    def prepare() -> None:
+        InferenceSession(graph, backend=backend, threads=threads)
+
+    def warm() -> None:
+        InferenceSession.from_engine(path)
+
+    build_s: list[float] = []
+    prepare_s: list[float] = []
+    warm_s: list[float] = []
+    for _ in range(repeats):
+        build_s += measure(build, 1)
+        prepare_s += measure(prepare, 1)
+        warm_s += measure(warm, 1)
+    return build_s, prepare_s, warm_s
 
 
 def format_engine_startup(document: dict) -> str:
@@ -217,20 +219,6 @@ def format_engine_startup(document: dict) -> str:
             f"  {model:14s} {entry['cold_total_ms']:10.1f} "
             f"{entry['warm_load_ms']:10.1f} {entry['speedup']:7.2f}x")
     return "\n".join(lines)
-
-
-def save_serve_bench(path: str, document: dict) -> dict:
-    """Persist a :func:`repro.serve.run_serve_bench` document as JSON.
-
-    Only the structural results (counts, shed reasons, pass/fail checks,
-    latency *ratios* via the recorded bound) are meaningful across
-    machines; absolute latencies are machine-local, same caveat as
-    ``BENCH_engine_startup.json``.
-    """
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
 
 
 def format_serve_bench(document: dict) -> str:
@@ -269,20 +257,6 @@ def format_serve_bench(document: dict) -> str:
                 f"{robustness['reroutes']} rerouted batch(es)")
     lines.append(f"overall: {'pass' if document['passed'] else 'FAIL'}")
     return "\n".join(lines)
-
-
-def save_chaos_bench(path: str, document: dict) -> dict:
-    """Persist a :func:`repro.serve.run_chaos_bench` document as JSON.
-
-    Everything recorded is structural (deaths, restarts, quarantine,
-    closed-books accounting, pass/fail checks) except the recovery
-    seconds, which are machine-local but bounded by the committed
-    ``recovery_window_s``.
-    """
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
 
 
 def format_chaos_bench(document: dict) -> str:

@@ -1,7 +1,9 @@
-"""Result formatting: aligned text tables and CSV, shared by all experiments."""
+"""Result formatting: aligned text tables, CSV and JSON documents, shared by
+all experiments."""
 
 from __future__ import annotations
 
+import json
 from collections.abc import Sequence
 
 Cell = "str | int | float | None"
@@ -59,3 +61,10 @@ def format_csv(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     for row in rows:
         lines.append(",".join(render(cell) for cell in row))
     return "\n".join(lines)
+
+
+def save_document(path: str, document: dict) -> None:
+    """Write a benchmark document as JSON: 2-space indent, sorted keys."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")

@@ -10,8 +10,6 @@ protocol.
 from __future__ import annotations
 
 import dataclasses
-import statistics
-import time
 
 from repro.backends.backend import Backend
 from repro.bench.harness import FailureRow, run_guarded
@@ -19,21 +17,18 @@ from repro.bench.journal import RunJournal, open_journal
 from repro.bench.reporting import format_csv, format_table
 from repro.bench.workloads import model_input
 from repro.models import zoo
-from repro.runtime.session import InferenceSession, _validate_protocol
+from repro.runtime.profiler import SampleStats, measure, validate_protocol
+from repro.runtime.session import InferenceSession
 
 
 @dataclasses.dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(SampleStats):
     """One configuration's timing."""
 
     model: str
     batch: int
     image_size: int
     times: tuple[float, ...]
-
-    @property
-    def median(self) -> float:
-        return statistics.median(self.times)
 
     @property
     def per_item_ms(self) -> float:
@@ -109,13 +104,8 @@ def _time_config(
             memory_budget_bytes=memory_budget_bytes, budget_mode=budget_mode)
     x = model_input(model, batch=batch, image_size=image_size)
     feed = {"input": x}
-    for _ in range(warmup):
-        session.run(feed, deadline_ms=deadline_ms)
-    times = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        session.run(feed, deadline_ms=deadline_ms)
-        times.append(time.perf_counter() - started)
+    times = measure(lambda: session.run(feed, deadline_ms=deadline_ms),
+                    repeats, warmup)
     return SweepPoint(
         model=model, batch=batch,
         image_size=image_size or zoo.get_entry(model).image_size,
@@ -138,7 +128,7 @@ def _run_sweep(
     engine_cache=None,
 ) -> SweepResult:
     """Shared sweep engine: failure boundary + run-journal per cell."""
-    _validate_protocol(repeats, warmup)
+    validate_protocol(repeats, warmup)
     if isinstance(engine_cache, str):
         from repro.engine.cache import EngineCache
         engine_cache = EngineCache(engine_cache)

@@ -80,15 +80,8 @@ def table1_failures() -> list[FailureRow]:
 
 
 def render_table1(with_rationale: bool = False,
-                  journal: "RunJournal | str | None" = None,
-                  engine_cache=None) -> str:
-    """The paper's Table I as aligned text (missing cells render as ``-``).
-
-    ``engine_cache`` is accepted for uniformity with the timing harnesses
-    (a campaign driver passes one cache everywhere) and ignored: Table I
-    is qualitative and prepares no sessions.
-    """
-    del engine_cache
+                  journal: "RunJournal | str | None" = None) -> str:
+    """The paper's Table I as aligned text (missing cells render as ``-``)."""
     body = format_table(
         table1_headers(), table1_rows(journal=journal),
         title="Table I: Comparison of Deep Learning frameworks (scores 1-3)")

@@ -240,10 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _journal_flags(figure2)
     table1 = bench_sub.add_parser("table1", help="Table I")
     table1.add_argument("--rationale", action="store_true")
-    table1.add_argument("--engine-cache", metavar="DIR", default=None,
-                        help="accepted for campaign-driver uniformity; "
-                             "Table I is qualitative and prepares no "
-                             "sessions")
     _journal_flags(table1)
     layers = bench_sub.add_parser("layers", help="conv algorithm race")
     layers.add_argument("--repeats", type=int, default=5)
@@ -893,7 +889,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_serve_chaos(args: argparse.Namespace) -> int:
     import json
 
-    from repro.bench.regression import format_chaos_bench, save_chaos_bench
+    from repro.bench.regression import format_chaos_bench
+    from repro.bench.reporting import save_document
     from repro.errors import OrpheusError
     from repro.serve import run_chaos_bench
 
@@ -913,7 +910,7 @@ def _cmd_serve_chaos(args: argparse.Namespace) -> int:
     else:
         print(format_chaos_bench(document))
     if args.save:
-        save_chaos_bench(args.save, document)
+        save_document(args.save, document)
         if not args.json:
             print(f"wrote {args.save}")
     return 0 if document["passed"] else EXIT_DEGRADED
@@ -922,7 +919,8 @@ def _cmd_serve_chaos(args: argparse.Namespace) -> int:
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     import json
 
-    from repro.bench.regression import format_serve_bench, save_serve_bench
+    from repro.bench.regression import format_serve_bench
+    from repro.bench.reporting import save_document
     from repro.errors import OrpheusError
     from repro.serve import run_serve_bench
 
@@ -947,13 +945,15 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     else:
         print(format_serve_bench(document))
     if args.save:
-        save_serve_bench(args.save, document)
+        save_document(args.save, document)
         if not args.json:
             print(f"wrote {args.save}")
     return 0 if document["passed"] else EXIT_DEGRADED
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.bench.reporting import save_document
+
     if args.experiment == "table1":
         from repro.bench.table1 import render_table1
         journal = _open_journal(args)
@@ -975,10 +975,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             repeats=args.repeats)
         print(format_engine_startup(document))
         if args.save:
-            import json
-            with open(args.save, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2)
-                handle.write("\n")
+            save_document(args.save, document)
             print(f"wrote {args.save}")
         return 0
     if args.experiment == "sweep":
@@ -1009,9 +1006,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"wrote {args.csv}")
         return 0 if result.complete else 1
     if args.experiment == "baseline":
-        from repro.bench.regression import check_baseline, save_baseline
+        from repro.bench.regression import check_baseline, measure_baseline
         if args.save:
-            document = save_baseline(args.save, repeats=args.repeats)
+            document = measure_baseline(repeats=args.repeats)
+            save_document(args.save, document)
             for key, entry in document["entries"].items():
                 print(f"  {key:32s} {entry['median_ms']:8.2f} ms")
             print(f"wrote {args.save}")
@@ -1021,20 +1019,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(report.summary())
         return 0 if report.ok else 1
     if args.experiment == "kernels":
-        from repro.bench.regression import (
-            check_baseline, measure_baseline, save_baseline)
+        from repro.bench.regression import check_baseline, measure_baseline
         if args.compare:
             report = check_baseline(args.compare, tolerance=args.tolerance,
                                     repeats=args.repeats)
             print(report.summary())
             # exit 2: a perf gate distinct from measurement failures (1)
             return 0 if report.ok else 2
-        document = (save_baseline(args.save, repeats=args.repeats)
-                    if args.save
-                    else measure_baseline(repeats=args.repeats))
+        document = measure_baseline(repeats=args.repeats)
         for key, entry in document["entries"].items():
             print(f"  {key:32s} {entry['median_ms']:8.2f} ms")
         if args.save:
+            save_document(args.save, document)
             print(f"wrote {args.save}")
         return 0
     if args.experiment == "quant":
@@ -1058,10 +1054,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             repeats=args.repeats)
         print(format_quant_bench(document))
         if args.save:
-            import json
-            with open(args.save, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2)
-                handle.write("\n")
+            save_document(args.save, document)
             print(f"wrote {args.save}")
         return 0
     from repro.bench.figure2 import run_figure2

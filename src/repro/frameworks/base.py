@@ -17,12 +17,12 @@ the paper reports as exclusions from Figure 2.
 from __future__ import annotations
 
 import abc
-import statistics
 
 import numpy as np
 
 from repro.errors import FrameworkUnavailableError
 from repro.models import zoo
+from repro.runtime.profiler import SampleStats
 
 
 class FrameworkAdapter(abc.ABC):
@@ -78,7 +78,7 @@ class PreparedModel(abc.ABC):
         """Wall-clock seconds per run."""
 
 
-class Measurement:
+class Measurement(SampleStats):
     """Timing result for one (framework, model) cell of Figure 2."""
 
     def __init__(self, framework: str, model: str, times: tuple[float, ...]) -> None:
@@ -87,14 +87,6 @@ class Measurement:
         self.framework = framework
         self.model = model
         self.times = times
-
-    @property
-    def median(self) -> float:
-        return statistics.median(self.times)
-
-    @property
-    def best(self) -> float:
-        return min(self.times)
 
     def __repr__(self) -> str:
         return (f"Measurement({self.framework}/{self.model}: "

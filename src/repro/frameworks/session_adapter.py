@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -10,6 +9,7 @@ import numpy as np
 from repro.backends.backend import Backend
 from repro.frameworks.base import FrameworkAdapter, PreparedModel
 from repro.models import zoo
+from repro.runtime.profiler import measure
 from repro.runtime.session import InferenceSession
 
 if TYPE_CHECKING:
@@ -36,15 +36,8 @@ class SessionModel(PreparedModel):
 
     def time(self, x: np.ndarray, repeats: int, warmup: int) -> list[float]:
         feed = {"input": x}
-        for _ in range(warmup):
-            self.session.run(feed)
-        times = []
-        for _ in range(repeats):
-            started = time.perf_counter()
-            self.session.run(feed)
-            elapsed = time.perf_counter() - started
-            times.append(elapsed + self.per_run_overhead_s)
-        return times
+        times = measure(lambda: self.session.run(feed), repeats, warmup)
+        return [elapsed + self.per_run_overhead_s for elapsed in times]
 
 
 class SessionAdapter(FrameworkAdapter):

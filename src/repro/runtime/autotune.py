@@ -17,8 +17,8 @@ so a hit is only ever a measurement this machine could have made.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import time
 from collections.abc import Mapping, Sequence
 from typing import Protocol
 
@@ -29,6 +29,7 @@ from repro.ir.node import Node
 from repro.ir.shape_inference import infer_shapes
 from repro.kernels.context import ExecutionContext
 from repro.kernels.registry import REGISTRY, KernelRegistry
+from repro.runtime.profiler import measure
 from repro.tensor.dtype import DType
 
 
@@ -201,12 +202,9 @@ def _race(
         # to take the whole tuning sweep down — `supports` is advisory and
         # some kernels only discover incompatibility when they execute.
         try:
-            impl.fn(inputs, node, ctx)  # warmup / correctness smoke
-            elapsed = float("inf")
-            for _ in range(max(repeats, 1)):
-                started = time.perf_counter()
-                impl.fn(inputs, node, ctx)
-                elapsed = min(elapsed, time.perf_counter() - started)
+            elapsed = min(measure(
+                functools.partial(impl.fn, inputs, node, ctx),
+                max(repeats, 1), warmup=1))
         except Exception:
             continue
         if elapsed < best_time:

@@ -1,4 +1,10 @@
-"""Per-layer profiling: the paper's "evaluating ... individual layers".
+"""Measurement protocol and per-layer profiling.
+
+Every timing sample in the framework — a whole-network run, one kernel
+in a layer race, an autotune candidate, a deployment phase — is taken by
+:func:`measure`: ``warmup`` untimed calls, then ``repeats`` calls each
+bracketed by two ``time.perf_counter`` reads. Records of those samples
+share :class:`SampleStats` for their statistics.
 
 A profile aggregates per-node wall time over repeated runs into stable
 statistics, groupable by operator type or by implementation — the data
@@ -9,18 +15,41 @@ from __future__ import annotations
 
 import dataclasses
 import statistics
-from collections.abc import Sequence
+import time
+from collections.abc import Callable, Sequence
 
 from repro.runtime.executor import NodeTiming
 
 
-@dataclasses.dataclass(frozen=True)
-class LayerProfile:
-    """Timing statistics for one node across repeats."""
+def validate_protocol(repeats: int, warmup: int) -> None:
+    """Reject measurement protocols that could only fail later, opaquely."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
 
-    node_name: str
-    op_type: str
-    impl: str
+
+def measure(fn: Callable[[], object], repeats: int,
+            warmup: int = 0) -> list[float]:
+    """Wall seconds of ``repeats`` calls of ``fn`` after ``warmup`` untimed ones.
+
+    Raises:
+        ValueError: ``repeats < 1`` or ``warmup < 0``, before ``fn`` runs.
+    """
+    validate_protocol(repeats, warmup)
+    for _ in range(warmup):
+        fn()
+    times = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - started)
+    return times
+
+
+class SampleStats:
+    """Statistics over ``self.times`` (seconds), for every timing record."""
+
     times: tuple[float, ...]
 
     @property
@@ -28,16 +57,22 @@ class LayerProfile:
         return statistics.median(self.times)
 
     @property
-    def mean(self) -> float:
-        return statistics.fmean(self.times)
-
-    @property
-    def minimum(self) -> float:
+    def best(self) -> float:
         return min(self.times)
 
     @property
-    def total(self) -> float:
-        return sum(self.times) / max(len(self.times), 1)
+    def stdev(self) -> float:
+        return statistics.stdev(self.times) if len(self.times) > 1 else 0.0
+
+
+@dataclasses.dataclass(frozen=True)
+class LayerProfile(SampleStats):
+    """Timing statistics for one node across repeats."""
+
+    node_name: str
+    op_type: str
+    impl: str
+    times: tuple[float, ...]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,7 +117,7 @@ class ProfileResult:
             lines.append(
                 f"{row.node_name:<{name_width}}  {row.op_type:<22} "
                 f"{row.impl:<18} {row.median * 1e3:>10.3f} "
-                f"{row.minimum * 1e3:>10.3f}")
+                f"{row.best * 1e3:>10.3f}")
         lines.append(f"total (sum of medians): {self.total_median * 1e3:.3f} ms "
                      f"over {self.repeats} repeats")
         return "\n".join(lines)

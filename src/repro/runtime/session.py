@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import time
 import warnings
 from collections.abc import Mapping
 from typing import TYPE_CHECKING
@@ -31,7 +30,12 @@ if TYPE_CHECKING:
     from repro.engine.format import Engine
 from repro.runtime.faults import FaultPlan
 from repro.runtime.memory_planner import MemoryPlan
-from repro.runtime.profiler import ProfileResult, collate
+from repro.runtime.profiler import (
+    ProfileResult,
+    collate,
+    measure,
+    validate_protocol,
+)
 from repro.tensor.tensor import Tensor
 
 Feed = Mapping[str, "np.ndarray | Tensor"]
@@ -384,16 +388,10 @@ class InferenceSession:
                 rather than surfacing later as an opaque ``statistics``
                 error on an empty sample list).
         """
-        _validate_protocol(repeats, warmup)
         raw = self._unwrap(feeds)
-        for _ in range(warmup):
-            self._executor.run(raw, deadline_ms=deadline_ms)
-        times = []
-        for _ in range(repeats):
-            started = time.perf_counter()
-            self._executor.run(raw, deadline_ms=deadline_ms)
-            times.append(time.perf_counter() - started)
-        return times
+        return measure(
+            lambda: self._executor.run(raw, deadline_ms=deadline_ms),
+            repeats, warmup)
 
     def profile(
         self, feeds: Feed, repeats: int = 5, warmup: int = 1,
@@ -409,7 +407,7 @@ class InferenceSession:
         Raises:
             ValueError: ``repeats < 1`` or ``warmup < 0``.
         """
-        _validate_protocol(repeats, warmup)
+        validate_protocol(repeats, warmup)
         raw = self._unwrap(feeds)
         for _ in range(warmup):
             self._executor.run(raw, deadline_ms=deadline_ms)
@@ -435,11 +433,3 @@ def _engine_source(engine: object) -> str:
     if isinstance(engine, (str, os.PathLike)):
         return os.fspath(engine)
     return f"<{type(engine).__name__}>"
-
-
-def _validate_protocol(repeats: int, warmup: int) -> None:
-    """Reject measurement protocols that could only fail later, opaquely."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")

@@ -46,7 +46,7 @@ def to_chrome_trace(profile: ProfileResult, process_name: str = "orpheus") -> st
                 "op": layer.op_type,
                 "impl": layer.impl,
                 "median_ms": round(layer.median * 1e3, 4),
-                "min_ms": round(layer.minimum * 1e3, 4),
+                "min_ms": round(layer.best * 1e3, 4),
                 "repeats": profile.repeats,
             },
         })

@@ -1,8 +1,8 @@
 """Per-backend circuit breakers.
 
-A backend whose kernels keep exhausting their fallback chains (or keep
-blowing deadlines) should stop receiving traffic *before* every request
-pays its failure latency. The classic three-state breaker:
+A backend whose kernels keep exhausting their fallback chains should stop
+receiving traffic *before* every request pays its failure latency. The
+classic three-state breaker:
 
 * **closed** — traffic flows; consecutive failures are counted.
 * **open** — tripped after ``failure_threshold`` consecutive failures; all
@@ -127,6 +127,16 @@ class CircuitBreaker:
             elif (self._state == CLOSED
                   and self._consecutive >= self.failure_threshold):
                 self._trip()
+            self._probe_in_flight = False
+
+    def release(self) -> None:
+        """End an admitted dispatch without a verdict on the backend.
+
+        Used when the batch itself was at fault (its deadline ran out):
+        nothing is counted, and a half-open probe slot is freed so the
+        next batch can probe instead.
+        """
+        with self._lock:
             self._probe_in_flight = False
 
     def _trip(self) -> None:  # requires-lock: _lock

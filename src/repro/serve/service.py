@@ -374,10 +374,13 @@ class InferenceService:
                 # request. No breaker penalty; retry the innocents.
                 return self._shed_quarantined(live, set(exc.request_ids))
             except DeadlineExceededError as exc:
-                breaker.record_failure()
-                failure = Failed(id="", error_type=type(exc).__name__,
-                                 message=str(exc), backend=backend)
-                continue
+                # The batch's own budget ran out, not the backend: no
+                # breaker penalty, and no reroute of an already-late batch.
+                breaker.release()
+                self._fail(live, Failed(
+                    id="", error_type=type(exc).__name__,
+                    message=str(exc), backend=backend))
+                return []
             except OrpheusError as exc:
                 breaker.record_failure()
                 failure = Failed(id="", error_type=type(exc).__name__,
@@ -406,12 +409,15 @@ class InferenceService:
                     pending.request.id, "breaker-open", retry,
                     "all backends tripped open"))
         else:
-            for pending in live:
-                pending.resolve(dataclasses.replace(
-                    failure, id=pending.request.id))
-            with self._lock:
-                self._failed += len(live)
+            self._fail(live, failure)
         return []
+
+    def _fail(self, live: list[PendingResponse], failure: Failed) -> None:
+        for pending in live:
+            pending.resolve(dataclasses.replace(
+                failure, id=pending.request.id))
+        with self._lock:
+            self._failed += len(live)
 
     def _assemble(self, live: list[PendingResponse]) -> tuple[dict, int]:
         samples = np.stack([p.request.sample for p in live])

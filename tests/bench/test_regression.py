@@ -2,13 +2,8 @@
 
 import json
 
-import pytest
-
-from repro.bench.regression import (
-    check_baseline,
-    measure_baseline,
-    save_baseline,
-)
+from repro.bench.regression import check_baseline, measure_baseline
+from repro.bench.reporting import save_document
 
 _FAST = (("wrn-40-2", "orpheus", 16),)
 
@@ -23,7 +18,7 @@ class TestBaseline:
 
     def test_save_and_check_within_tolerance(self, tmp_path):
         path = str(tmp_path / "perf.json")
-        save_baseline(path, _FAST, repeats=3, warmup=1)
+        save_document(path, measure_baseline(_FAST, repeats=3, warmup=1))
         report = check_baseline(path, tolerance=3.0, repeats=3, warmup=1)
         assert report.ok
         assert report.checked == 1
@@ -31,7 +26,8 @@ class TestBaseline:
 
     def test_regression_detected(self, tmp_path):
         path = str(tmp_path / "perf.json")
-        document = save_baseline(path, _FAST, repeats=2, warmup=1)
+        document = measure_baseline(_FAST, repeats=2, warmup=1)
+        save_document(path, document)
         # Forge an impossibly fast baseline: the re-measurement must flag it.
         for entry in document["entries"].values():
             entry["median_ms"] = 1e-6
@@ -44,7 +40,8 @@ class TestBaseline:
 
     def test_improvement_detected(self, tmp_path):
         path = str(tmp_path / "perf.json")
-        document = save_baseline(path, _FAST, repeats=2, warmup=1)
+        document = measure_baseline(_FAST, repeats=2, warmup=1)
+        save_document(path, document)
         for entry in document["entries"].values():
             entry["median_ms"] = 1e9  # forged terrible baseline
         with open(path, "w", encoding="utf-8") as handle:

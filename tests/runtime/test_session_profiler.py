@@ -1,10 +1,15 @@
-"""InferenceSession and the per-layer profiler."""
+"""InferenceSession, the per-layer profiler, and the measurement primitive."""
+
+import itertools
+import types
 
 import numpy as np
 import pytest
 
-from repro.backends import Backend, get_backend
+from repro.backends import get_backend
 from repro.config import RuntimeConfig, default_config
+from repro.runtime import profiler
+from repro.runtime.profiler import measure
 from repro.runtime.session import InferenceSession
 from repro.tensor import Tensor
 from tests.conftest import tiny_classifier
@@ -100,7 +105,7 @@ class TestProfiler:
     def test_statistics_consistent(self, session, feed):
         profile = session.profile(feed, repeats=5)
         for layer in profile.layers:
-            assert layer.minimum <= layer.median <= max(layer.times)
+            assert layer.best <= layer.median <= max(layer.times)
 
     def test_by_op_type_sums_to_total(self, session, feed):
         profile = session.profile(feed, repeats=3)
@@ -133,3 +138,90 @@ class TestProfiler:
         from repro.runtime.profiler import collate
         with pytest.raises(ValueError, match="at least one"):
             collate([])
+
+
+class FakeClock:
+    """``perf_counter`` stand-in: the i-th timed call lasts ``samples[i]``.
+
+    Samples cycle and are powers of two, so the differences ``measure``
+    takes come back exactly.
+    """
+
+    def __init__(self, *samples: float) -> None:
+        self.samples = itertools.cycle(samples)
+        self.now = 0.0
+        self.reads = 0
+
+    def __call__(self) -> float:
+        if self.reads % 2:
+            self.now += next(self.samples)
+        self.reads += 1
+        return self.now
+
+
+@pytest.fixture
+def fake_clock(monkeypatch):
+    """Install a :class:`FakeClock` as the measurement primitive's clock."""
+
+    def install(*samples: float) -> FakeClock:
+        clock = FakeClock(*samples)
+        monkeypatch.setattr(
+            profiler, "time", types.SimpleNamespace(perf_counter=clock))
+        return clock
+
+    return install
+
+
+class TestMeasure:
+    def test_warmup_calls_are_untimed(self, fake_clock):
+        clock = fake_clock(0.5)
+        reads_at_call = []
+        times = measure(lambda: reads_at_call.append(clock.reads),
+                        repeats=3, warmup=2)
+        assert times == [0.5, 0.5, 0.5]
+        assert len(reads_at_call) == 5
+        assert reads_at_call[:2] == [0, 0]     # warmup: clock never read
+        assert clock.reads == 6                # two reads per timed call
+
+    @pytest.mark.parametrize("repeats, warmup", [(0, 0), (-1, 1), (1, -1)])
+    def test_bad_protocol_rejected_before_running(self, repeats, warmup):
+        calls = []
+        with pytest.raises(ValueError, match="must be >="):
+            measure(lambda: calls.append(1), repeats=repeats, warmup=warmup)
+        assert calls == []
+
+    def test_session_time_returns_the_primitive_samples(
+            self, session, feed, fake_clock):
+        fake_clock(0.25, 0.5, 0.125)
+        assert session.time(feed, repeats=3, warmup=1) == [0.25, 0.5, 0.125]
+
+    def test_session_model_adds_overhead_to_primitive_samples(
+            self, session, rng, fake_clock):
+        from repro.frameworks.session_adapter import SessionModel
+        model = SessionModel(session, per_run_overhead_s=1.0)
+        x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
+        fake_clock(0.25, 0.5)
+        assert model.time(x, repeats=2, warmup=1) == [1.25, 1.5]
+
+    def test_layer_race_keeps_the_min_primitive_sample(self, fake_clock):
+        from repro.bench.layerwise import ConvCase, race_conv_impls
+        case = ConvCase("tiny 3x3", (1, 4, 8, 8), (4, 4, 3, 3))
+        fake_clock(0.5, 0.25, 0.125, 1.0)
+        result = race_conv_impls(
+            cases=(case,), impls=("im2col", "direct"), repeats=2)
+        assert result.times == {
+            ("tiny 3x3", "im2col"): 0.25, ("tiny 3x3", "direct"): 0.125}
+        assert result.best_impl("tiny 3x3") == "direct"
+
+    @pytest.mark.parametrize("samples, winner", [
+        ((1.0, 0.25), "direct"), ((0.25, 1.0), "im2col")])
+    def test_autotune_picks_the_fastest_primitive_sample(
+            self, fake_clock, samples, winner):
+        from repro.passes import default_pipeline
+        from repro.runtime.autotune import autotune
+        graph = default_pipeline().run(tiny_classifier())
+        fake_clock(*samples)
+        overrides = autotune(
+            graph, {"Conv": ("im2col", "direct")}, repeats=1)
+        assert overrides
+        assert set(overrides.values()) == {winner}

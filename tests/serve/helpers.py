@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from repro.errors import FallbackExhaustedError
+from repro.errors import DeadlineExceededError, FallbackExhaustedError
 from repro.runtime.executor import RobustnessReport
 
 
@@ -43,14 +43,19 @@ class FakeSession:
             while its budget lasts, every run raises
             :class:`FallbackExhaustedError` (the error the real executor
             surfaces when a kernel chain is exhausted).
+        enforce_deadline: raise :class:`DeadlineExceededError`, like the
+            real executor's watchdog, when ``delay_s`` overruns the run's
+            ``deadline_ms``.
     """
 
     def __init__(self, backend: str, index: int, delay_s: float = 0.0,
-                 failures: FailurePlan | None = None) -> None:
+                 failures: FailurePlan | None = None,
+                 enforce_deadline: bool = False) -> None:
         self.backend = backend
         self.index = index
         self.delay_s = delay_s
         self.failures = failures
+        self.enforce_deadline = enforce_deadline
         self.runs = 0
         self.run_deadlines: list[float | None] = []
         self.batch_shapes: list[tuple[int, ...]] = []
@@ -62,6 +67,11 @@ class FakeSession:
             tuple(np.asarray(next(iter(feeds.values()))).shape))
         if self.delay_s:
             time.sleep(self.delay_s)
+        if (self.enforce_deadline and deadline_ms is not None
+                and self.delay_s * 1e3 > deadline_ms):
+            raise DeadlineExceededError(
+                f"injected: {self.backend} overran {deadline_ms:.1f} ms",
+                elapsed_s=self.delay_s, deadline_s=deadline_ms / 1e3)
         if self.failures is not None and self.failures.should_fail():
             raise FallbackExhaustedError(
                 f"injected: {self.backend} worker {self.index}")

@@ -111,6 +111,18 @@ class TestHalfOpen:
         breaker.record_success()
         assert breaker.state == CLOSED
 
+    def test_release_frees_the_probe_without_a_verdict(self):
+        breaker, clock = make_breaker(threshold=1, cooldown=1.0)
+        breaker.record_failure()
+        clock.advance(1.0)
+        assert breaker.allow()
+        breaker.release()            # e.g. the probe batch's deadline expired
+        assert breaker.state == HALF_OPEN
+        assert breaker.allow()       # the next batch probes instead
+        snapshot = breaker.snapshot()
+        assert (snapshot.failures, snapshot.successes) == (1, 0)
+        assert snapshot.trips == 1
+
 
 class TestSnapshotAndThreads:
     def test_snapshot_totals(self):

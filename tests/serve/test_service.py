@@ -197,6 +197,32 @@ class TestBreakerRouting:
         assert stats.failed == 1
         assert stats.outstanding == 0
 
+    def test_deadline_overrun_fails_without_breaker_penalty(self):
+        # A blown request deadline is the batch's fault, not the backend's:
+        # the healthy-but-slow primary keeps its closed breaker, and the
+        # already-late batch is not rerouted to the fallback.
+        behaviour = {"a": {"delay_s": 0.2, "enforce_deadline": True}}
+        with make_service(backends=("a", "b"), behaviour=behaviour,
+                          breaker_threshold=1,
+                          breaker_cooldown_s=30.0) as service:
+            doomed = service.submit(sample(), deadline_ms=100.0)
+            assert not isinstance(doomed, Rejected)
+            missed = doomed.result(timeout=5.0)
+            served = service.submit(sample()).result(timeout=5.0)
+            report = service.robustness_report()
+            state = {s.backend: s.state for s in service.stats().breakers}
+        assert isinstance(missed, Failed)
+        assert missed.error_type == "DeadlineExceededError"
+        assert missed.backend == "a"
+        assert isinstance(served, Completed)
+        assert served.backend == "a"
+        assert report.breaker_trips == 0
+        assert report.reroutes == 0
+        assert state == {"a": "closed", "b": "closed"}
+        b_sessions = [s for s in service._factory.sessions if s.backend == "b"]
+        assert all(s.runs == 0 for s in b_sessions)
+        assert service.stats().failed == 1
+
     def test_health_degrades_when_a_breaker_opens(self):
         behaviour = {"a": {"failures": FailurePlan(fail_first=100)}}
         with make_service(backends=("a", "b"), behaviour=behaviour,
